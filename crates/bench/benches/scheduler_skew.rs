@@ -1,31 +1,34 @@
-//! Scheduler-skew benchmark: level-barrier vs work-stealing `analyze_all`
-//! on a corpus built to maximize per-level cost skew.
+//! Scheduler-skew benchmark: work-stealing `analyze_all` on a corpus built
+//! to maximize per-level cost skew.
 //!
 //! The workload puts one *giant* SCC (a mutual-recursion cycle whose
 //! members are expensive to summarize: naive recursion re-analyzes partner
 //! bodies around the cycle) in the same scheduling level as many cheap leaf
 //! functions, and stacks a deep call chain on top of one leaf. Under level
-//! barriers the chain cannot start until the giant SCC finishes — every
-//! level-0 worker joins before level 1 — so wall-clock is `giant + chain`.
-//! The work-stealing scheduler releases each chain link the moment its
-//! callee is summarized, so the chain overlaps the giant SCC and wall-clock
-//! is `max(giant, chain)`.
+//! barriers the chain could not start until the giant SCC finishes — every
+//! level-0 worker joins before level 1 — so wall-clock would be
+//! `giant + chain`. The work-stealing scheduler releases each chain link
+//! the moment its callee is summarized, so the chain overlaps the giant SCC
+//! and wall-clock is `max(giant, chain)`.
 //!
-//! The headline check asserts the win two ways:
+//! The headline check asserts this two ways, both on every component's
+//! summary cost measured once (sequentially):
 //!
-//! 1. **Deterministically**, by measuring every component's summary cost
-//!    once (sequentially) and computing the makespan each scheduler's
+//! 1. **Deterministically**, by computing the makespan each scheduling
 //!    policy yields for two workers — barrier: sum over levels of the
 //!    level's list-scheduled maximum; work-stealing: event-driven greedy
 //!    over the condensation DAG. This captures the *structural* win and is
 //!    immune to runner core counts and noise.
-//! 2. **On the wall clock**, comparing real `analyze_all` runs — asserted
+//! 2. **On the wall clock**: a real two-worker `analyze_all` must finish
+//!    within the greedy list-scheduling bound `W/p + (1 - 1/p)·C`, where
+//!    `W` is the summed component cost and `C` the critical-path cost — a
+//!    schedule with level barriers cannot meet it on this corpus. Asserted
 //!    only when the machine actually has ≥ 2 cores (with one core there is
-//!    nothing to overlap and both schedules degenerate to sequential).
+//!    nothing to overlap).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flowistry_core::{compute_summary, AnalysisParams, CachedSummary, Condition};
-use flowistry_engine::{AnalysisEngine, EngineConfig, SchedulerKind};
+use flowistry_engine::{AnalysisEngine, EngineConfig};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::CallGraph;
 use std::collections::HashMap;
@@ -171,17 +174,30 @@ fn work_stealing_makespan(call_graph: &CallGraph, costs: &[f64], workers: usize)
     makespan
 }
 
+/// Cost of the condensation's critical path: the most expensive chain of
+/// components, each waiting for its callees (`sccs()` lists callees first).
+fn critical_path_cost(call_graph: &CallGraph, costs: &[f64]) -> f64 {
+    let mut start = vec![0.0f64; costs.len()];
+    let mut longest = 0.0f64;
+    for scc in 0..costs.len() {
+        let finish = start[scc] + costs[scc];
+        longest = longest.max(finish);
+        for &caller in call_graph.scc_callers(scc) {
+            start[caller] = start[caller].max(finish);
+        }
+    }
+    longest
+}
+
 fn cold_seconds(
     program: &std::sync::Arc<flowistry_lang::CompiledProgram>,
     params: &AnalysisParams,
-    scheduler: SchedulerKind,
     threads: usize,
 ) -> f64 {
     let mut engine = AnalysisEngine::new(
         program.clone(),
         EngineConfig::default()
             .with_params(params.clone())
-            .with_scheduler(scheduler)
             .with_threads(threads),
     );
     let start = Instant::now();
@@ -207,23 +223,21 @@ fn bench_skewed_scc(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("scheduler_skew");
     group.sample_size(10);
-    for (name, scheduler) in [
-        ("level_barrier", SchedulerKind::LevelBarrier),
-        ("work_stealing", SchedulerKind::WorkStealing),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &program, |b, program| {
+    group.bench_with_input(
+        BenchmarkId::from_parameter("work_stealing"),
+        &program,
+        |b, program| {
             b.iter(|| {
                 let mut engine = AnalysisEngine::new(
                     program.clone(),
                     EngineConfig::default()
                         .with_params(params.clone())
-                        .with_scheduler(scheduler)
                         .with_threads(threads),
                 );
                 engine.analyze_all().analyzed
             })
-        });
-    }
+        },
+    );
     group.finish();
 
     // Acceptance check 1: the structural win, on measured per-component
@@ -248,25 +262,46 @@ fn bench_skewed_scc(c: &mut Criterion) {
         barrier_sim * 1e3
     );
 
-    // Acceptance check 2: the same comparison on the wall clock, asserted
-    // where overlap is physically possible (≥ 2 cores). Retried: runners
-    // are noisy; the shape guarantees the win, the retry guards the
-    // measurement.
+    // Acceptance check 2: the real engine on the wall clock, against the
+    // greedy list-scheduling bound W/p + (1 - 1/p)·C. On this corpus C is
+    // over half of W, so the bound sits near 4/5 of W, below the
+    // level-barrier makespan (giant + chain). Asserted where overlap is
+    // physically possible (≥ 2 cores). Each attempt measures the costs
+    // afresh next to its engine runs, so both sides see the same host
+    // speed, and takes the best of `REPEATS` on each side: noise on a shared
+    // host only ever adds time, to the engine run as to the costs the bound
+    // is built from. Retried: the shape guarantees the fit, the retry
+    // guards the measurement.
+    const REPEATS: usize = 3;
+    let p = threads as f64;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut measurements = Vec::new();
-    let mut won = false;
+    let mut within = false;
     for attempt in 0..3 {
-        let barrier = cold_seconds(&program, &params, SchedulerKind::LevelBarrier, threads);
-        let stealing = cold_seconds(&program, &params, SchedulerKind::WorkStealing, threads);
+        let mut best = component_costs(&program, &call_graph, &params);
+        for _ in 1..REPEATS {
+            let again = component_costs(&program, &call_graph, &params);
+            for (b, a) in best.iter_mut().zip(again) {
+                *b = b.min(a);
+            }
+        }
+        let total: f64 = best.iter().sum();
+        let critical = critical_path_cost(&call_graph, &best);
+        let bound = total / p + (1.0 - 1.0 / p) * critical;
+        let stealing = (0..REPEATS)
+            .map(|_| cold_seconds(&program, &params, threads))
+            .fold(f64::INFINITY, f64::min);
         println!(
-            "scheduler_skew/attempt {attempt}: barrier {:.3} ms vs work-stealing {:.3} ms ({:.2}x)",
-            barrier * 1e3,
+            "scheduler_skew/attempt {attempt}: work-stealing {:.3} ms vs bound {:.3} ms \
+             (W {:.3} ms, C {:.3} ms)",
             stealing * 1e3,
-            barrier / stealing.max(1e-9)
+            bound * 1e3,
+            total * 1e3,
+            critical * 1e3
         );
-        measurements.push((barrier, stealing));
-        if stealing < barrier {
-            won = true;
+        measurements.push((stealing, bound));
+        if stealing <= bound {
+            within = true;
             break;
         }
     }
@@ -279,10 +314,10 @@ fn bench_skewed_scc(c: &mut Criterion) {
         return;
     }
     assert!(
-        won,
-        "work stealing must beat the level-barrier schedule on the skewed-SCC \
-         corpus with {cores} cores; measurements (barrier, work-stealing) in \
-         seconds: {measurements:?}"
+        within,
+        "work stealing must finish within the greedy bound W/p + (1 - 1/p)·C \
+         on the skewed-SCC corpus with {cores} cores; (run, bound) per attempt \
+         in seconds: {measurements:?}"
     );
 }
 

@@ -8,9 +8,8 @@
 //! * every program carries its policy **in annotations** (`#![lattice(..)]`,
 //!   `#[label(..)]`, `#[sink(..)]`, occasional `#[declassify]`) *and* in
 //!   **convention-matching names** (`secret_src_N`, `insecure_print_N`,
-//!   `secret_inN`), so the annotation-derived policy and the legacy
-//!   name-heuristic policy describe the same programs and the two-point
-//!   checkers can be compared non-vacuously;
+//!   `secret_inN`), so the annotation-derived policy and the
+//!   naming-convention policy describe the same programs;
 //! * drivers are scalar-only (`i32` parameters, no reference parameters),
 //!   so the interpreter can run them on random inputs without constructing
 //!   reference graphs;
@@ -66,8 +65,7 @@ pub struct LabeledDriver {
     pub num_params: usize,
     /// Whether the driver contains a `#[declassify]` point. Declassifying
     /// drivers are excluded from the interference oracle (released data
-    /// legitimately varies with high inputs) and from two-point legacy
-    /// equivalence (the legacy checker has no declassification).
+    /// legitimately varies with high inputs).
     pub declassifies: bool,
 }
 

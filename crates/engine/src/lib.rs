@@ -13,14 +13,13 @@
 //!   ready components from per-worker deques (stealing when empty), and a
 //!   finished summary publishes into a concurrent store and immediately
 //!   releases its callers — no level barriers, so wall-clock is bounded by
-//!   the condensation's critical path (the legacy level-barrier schedule is
-//!   kept behind [`SchedulerKind::LevelBarrier`] for comparison);
+//!   the condensation's critical path;
 //! * each summary is stored in a [`SummaryCache`] — sharded by key prefix,
 //!   one lock and one persistence file per shard — keyed by a stable
 //!   content hash of the function's MIR plus its callees' keys, so
 //!   re-running after an edit re-analyzes only the edited function and its
 //!   transitive callers — everything else is a cache hit (optionally warm
-//!   from disk, including legacy single-file caches).
+//!   from disk).
 //!
 //! The API is split into three layers, none of which borrows the program:
 //!
@@ -33,7 +32,7 @@
 //!   cheaply cloneable (two `Arc` bumps) and answer
 //!   [`results`](AnalysisSnapshot::results),
 //!   [`backward_slice`](AnalysisSnapshot::backward_slice), and
-//!   [`check_ifc`](AnalysisSnapshot::check_ifc) queries from any thread,
+//!   [`check_policy`](AnalysisSnapshot::check_policy) queries from any thread,
 //!   producing results identical to a from-scratch
 //!   [`analyze`](flowistry_core::analyze).
 //! * [`FlowService`] is the **service front**: it owns the current
@@ -83,19 +82,17 @@ pub mod service;
 pub mod snapshot;
 
 pub use cache::{LoadStats, SummaryCache, SummaryKey, SHARD_COUNT};
-pub use scheduler::{ConcurrentSummaryStore, SchedulerKind};
+pub use scheduler::ConcurrentSummaryStore;
 pub use service::{
     FlowService, QueryEnvelope, QueryRequest, QueryResponse, ServiceConfig, ServiceStats, Ticket,
 };
 pub use snapshot::AnalysisSnapshot;
 
-use flowistry_core::{
-    compute_summary_with_results, AnalysisParams, CachedSummary, FunctionSummary, InfoFlowResults,
-};
+use flowistry_core::{AnalysisParams, FunctionSummary};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::{function_content_hash, CallGraph, CompiledProgram, StableHasher};
-use flowistry_obs::{Counter, Histogram, Registry, Span};
-use std::collections::{BTreeSet, HashMap};
+use flowistry_obs::{Counter, Histogram, Registry};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -109,9 +106,6 @@ pub struct EngineConfig {
     /// forcing a worker count in CI) and otherwise the machine's available
     /// parallelism; `1` runs strictly sequentially on the calling thread.
     pub threads: usize,
-    /// How `analyze_all` orders summary computation (work stealing by
-    /// default; the legacy level-barrier schedule is kept for comparison).
-    pub scheduler: SchedulerKind,
     /// When set, the summary cache is loaded from this file on construction
     /// and written back after every [`AnalysisEngine::analyze_all`].
     pub cache_path: Option<PathBuf>,
@@ -139,7 +133,6 @@ impl Default for EngineConfig {
         EngineConfig {
             params: AnalysisParams::default(),
             threads: 0,
-            scheduler: SchedulerKind::default(),
             cache_path: None,
             cache_retention: 8,
             results_capacity: 4096,
@@ -158,12 +151,6 @@ impl EngineConfig {
     /// Sets the worker thread count (`0` = auto, `1` = sequential).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Selects the scheduling strategy.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -245,15 +232,6 @@ impl EngineMetrics {
     }
 }
 
-/// What a schedule hands back to `analyze_all`: every summary, the full
-/// results of freshly analyzed functions (to seed the snapshot memo), and
-/// the run counters.
-type ScheduleOutput = (
-    HashMap<FuncId, CachedSummary>,
-    Vec<(FuncId, Arc<InfoFlowResults>)>,
-    RunStats,
-);
-
 /// What one [`AnalysisEngine::analyze_all`] run did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunStats {
@@ -261,14 +239,12 @@ pub struct RunStats {
     pub analyzed: usize,
     /// Functions whose summary came out of the cache.
     pub cache_hits: usize,
-    /// Sequential depth of the schedule: levels executed under the barrier
-    /// scheduler, the condensation's critical-path length under work
-    /// stealing (the two coincide).
+    /// Sequential depth of the schedule: the condensation's critical-path
+    /// length in components.
     pub levels: usize,
     /// Worker threads used.
     pub threads: usize,
-    /// Successful deque steals (always `0` under the barrier scheduler or
-    /// with a single worker).
+    /// Successful deque steals (always `0` with a single worker).
     pub steals: usize,
 }
 
@@ -283,11 +259,10 @@ pub struct RunStats {
 /// whose content (or whose callees' content) changed.
 ///
 /// For convenience the builder forwards the snapshot query API
-/// ([`AnalysisEngine::results`], [`AnalysisEngine::backward_slice`],
-/// [`AnalysisEngine::check_ifc`], …) to its most recent snapshot; callers
-/// that serve concurrent traffic should take an
-/// [`AnalysisEngine::snapshot`] (or put a [`FlowService`] in front) instead
-/// of sharing the builder.
+/// ([`AnalysisEngine::results`], [`AnalysisEngine::backward_slice`], …)
+/// to its most recent snapshot; callers that serve concurrent traffic
+/// should take an [`AnalysisEngine::snapshot`] (or put a [`FlowService`] in
+/// front) instead of sharing the builder.
 pub struct AnalysisEngine {
     program: Arc<CompiledProgram>,
     config: EngineConfig,
@@ -446,17 +421,28 @@ impl AnalysisEngine {
     }
 
     /// Computes (or fetches) the summary of every available function,
-    /// bottom-up over the call graph — with the work-stealing scheduler by
-    /// default, or per-level parallel fan-out under
-    /// [`SchedulerKind::LevelBarrier`] — publishes a fresh
-    /// [`AnalysisSnapshot`], and persists the cache if a path is
-    /// configured.
+    /// bottom-up over the call graph with the work-stealing scheduler (see
+    /// [`scheduler`]), publishes a fresh [`AnalysisSnapshot`], and persists
+    /// the cache if a path is configured.
     pub fn analyze_all(&mut self) -> RunStats {
-        let threads = scheduler::resolve_worker_threads(self.config.threads);
-        let (summaries, results_seed, stats) = match self.config.scheduler {
-            SchedulerKind::WorkStealing => self.analyze_all_work_stealing(threads),
-            SchedulerKind::LevelBarrier => self.analyze_all_barrier(threads),
+        let outcome = scheduler::run_work_stealing(
+            &self.program,
+            &self.call_graph,
+            &self.config.params,
+            &self.keys,
+            &self.cache,
+            scheduler::resolve_worker_threads(self.config.threads),
+            self.config.results_capacity,
+            &self.metrics,
+        );
+        let stats = RunStats {
+            analyzed: outcome.analyzed,
+            cache_hits: outcome.cache_hits,
+            levels: self.call_graph.critical_path_len(),
+            threads: outcome.threads,
+            steals: outcome.steals,
         };
+        let summaries = outcome.summaries;
 
         // Close the run: mark every key this program version uses (hits and
         // fresh inserts alike) and evict entries idle for too many runs.
@@ -491,7 +477,7 @@ impl AnalysisEngine {
             Some(prev) => prev.carryover_results(&self.keys),
             None => Vec::new(),
         };
-        seed.extend(results_seed);
+        seed.extend(outcome.results);
         let snapshot = AnalysisSnapshot::new(
             self.program.clone(),
             self.config.params.clone(),
@@ -542,118 +528,6 @@ impl AnalysisEngine {
         snapshot
     }
 
-    /// The work-stealing schedule: see [`scheduler`].
-    fn analyze_all_work_stealing(&mut self, threads: usize) -> ScheduleOutput {
-        let outcome = scheduler::run_work_stealing(
-            &self.program,
-            &self.call_graph,
-            &self.config.params,
-            &self.keys,
-            &self.cache,
-            threads,
-            self.config.results_capacity,
-            &self.metrics,
-        );
-        let stats = RunStats {
-            analyzed: outcome.analyzed,
-            cache_hits: outcome.cache_hits,
-            levels: self.call_graph.critical_path_len(),
-            threads: outcome.threads,
-            steals: outcome.steals,
-        };
-        (outcome.summaries, outcome.results, stats)
-    }
-
-    /// The legacy level-barrier schedule: every callee level completes
-    /// before the next level starts.
-    fn analyze_all_barrier(&mut self, max_threads: usize) -> ScheduleOutput {
-        let levels = self.call_graph.schedule_levels();
-        let mut summaries: HashMap<FuncId, CachedSummary> = HashMap::new();
-        let mut results_seed: Vec<(FuncId, Arc<InfoFlowResults>)> = Vec::new();
-        let mut stats = RunStats {
-            levels: levels.len(),
-            ..RunStats::default()
-        };
-
-        for level in &levels {
-            // Partition the level's components across workers. The snapshot
-            // of `summaries` holds every lower level already (the levels are
-            // barriers), which is exactly the seed set each function needs.
-            let work: Vec<FuncId> = level
-                .iter()
-                .flat_map(|&scc| self.call_graph.sccs()[scc].iter().copied())
-                .filter(|&f| self.config.params.body_available(f))
-                .collect();
-            if work.is_empty() {
-                continue;
-            }
-            let threads = max_threads.min(work.len()).max(1);
-            stats.threads = stats.threads.max(threads);
-            let computed = if threads == 1 {
-                self.run_chunk(&work, &summaries)
-            } else {
-                let chunk_size = work.len().div_ceil(threads);
-                let mut out = Vec::with_capacity(work.len());
-                let summaries_ref = &summaries;
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = work
-                        .chunks(chunk_size)
-                        .map(|chunk| s.spawn(|| self.run_chunk(chunk, summaries_ref)))
-                        .collect();
-                    for handle in handles {
-                        out.extend(handle.join().expect("engine worker panicked"));
-                    }
-                });
-                out
-            };
-            for (func, entry, full) in computed {
-                match full {
-                    None => stats.cache_hits += 1,
-                    Some(full) => {
-                        stats.analyzed += 1;
-                        self.cache.insert(self.key(func), entry.clone());
-                        // Same bound as the work-stealing path: the memo
-                        // caps at results_capacity, so don't retain more.
-                        if results_seed.len() < self.config.results_capacity {
-                            results_seed.push((func, full));
-                        }
-                    }
-                }
-                summaries.insert(func, entry);
-            }
-        }
-        (summaries, results_seed, stats)
-    }
-
-    /// One worker's share of a level: resolve each function against the
-    /// cache, analyzing on a miss (keeping the full results alongside the
-    /// extracted summary). Runs with `summaries` frozen at the previous
-    /// level boundary.
-    fn run_chunk(
-        &self,
-        chunk: &[FuncId],
-        summaries: &HashMap<FuncId, CachedSummary>,
-    ) -> Vec<(FuncId, CachedSummary, Option<Arc<InfoFlowResults>>)> {
-        chunk
-            .iter()
-            .map(|&func| match self.cache.get(self.key(func)) {
-                Some(entry) => (func, entry, None),
-                None => {
-                    let _span =
-                        Span::enter_with("summary_compute", self.program.body(func).name.as_str())
-                            .with_histogram(self.metrics.summary_compute.clone());
-                    let (entry, full) = compute_summary_with_results(
-                        &self.program,
-                        func,
-                        &self.config.params,
-                        summaries,
-                    );
-                    (func, entry, Some(Arc::new(full)))
-                }
-            })
-            .collect()
-    }
-
     /// The cached summary of `func` in the current snapshot, if
     /// [`AnalysisEngine::analyze_all`] has produced one (external functions
     /// have none; before the first `analyze_all` — or after an
@@ -702,11 +576,6 @@ impl AnalysisEngine {
     /// Forwards to [`AnalysisSnapshot::slicer`] on the current snapshot.
     pub fn slicer(&self, func: FuncId) -> flowistry_slicer::Slicer<'_> {
         self.current_snapshot().slicer(func)
-    }
-
-    /// Forwards to [`AnalysisSnapshot::check_ifc`] on the current snapshot.
-    pub fn check_ifc(&self, policy: flowistry_ifc::IfcPolicy) -> Vec<flowistry_ifc::IfcReport> {
-        self.current_snapshot().check_ifc(policy)
     }
 
     /// The set of functions whose summary would have to be recomputed if

@@ -52,7 +52,7 @@ use crate::scheduler::resolve_worker_threads;
 use crate::{AnalysisEngine, AnalysisSnapshot, RunStats};
 use flowistry_core::{FunctionSummary, InfoFlowResults};
 use flowistry_fault::{sites as fault_sites, Fault};
-use flowistry_ifc::{IfcDiagnostic, IfcPolicy, IfcReport, Policy};
+use flowistry_ifc::{IfcDiagnostic, Policy};
 use flowistry_lang::mir::{Location, Place};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::CompiledProgram;
@@ -127,8 +127,6 @@ pub enum QueryRequest {
         /// The location just before which dependencies are taken.
         loc: Location,
     },
-    /// Whole-program IFC check ([`AnalysisSnapshot::check_ifc`]).
-    CheckIfc(IfcPolicy),
     /// Lattice-based IFC policy check
     /// ([`AnalysisSnapshot::check_policy`]): the client ships a [`Policy`]
     /// and gets structured diagnostics with flow witnesses back.
@@ -147,8 +145,8 @@ impl QueryRequest {
     /// The request-kind labels, in [`QueryRequest::kind_index`] order —
     /// what the per-kind metric series (`flow_service_requests_total{kind=…}`
     /// and friends) are labeled with.
-    pub const KINDS: [&'static str; 9] = [
-        "summary", "results", "slice", "slice_at", "ifc", "policy", "lint", "stats", "metrics",
+    pub const KINDS: [&'static str; 8] = [
+        "summary", "results", "slice", "slice_at", "policy", "lint", "stats", "metrics",
     ];
 
     /// Index of this request's kind into [`QueryRequest::KINDS`].
@@ -158,11 +156,10 @@ impl QueryRequest {
             QueryRequest::Results(_) => 1,
             QueryRequest::BackwardSlice { .. } => 2,
             QueryRequest::BackwardSliceAt { .. } => 3,
-            QueryRequest::CheckIfc(_) => 4,
-            QueryRequest::CheckPolicy(_) => 5,
-            QueryRequest::Lint(_) => 6,
-            QueryRequest::Stats => 7,
-            QueryRequest::Metrics => 8,
+            QueryRequest::CheckPolicy(_) => 4,
+            QueryRequest::Lint(_) => 5,
+            QueryRequest::Stats => 6,
+            QueryRequest::Metrics => 7,
         }
     }
 
@@ -184,8 +181,6 @@ pub enum QueryResponse {
     BackwardSlice(Option<flowistry_slicer::Slice>),
     /// Answer to [`QueryRequest::BackwardSliceAt`].
     BackwardSliceAt(BTreeSet<Location>),
-    /// Answer to [`QueryRequest::CheckIfc`]: every report with violations.
-    CheckIfc(Vec<IfcReport>),
     /// Answer to [`QueryRequest::CheckPolicy`]: all diagnostics, with flow
     /// witnesses. (An invalid policy comes back as
     /// [`QueryResponse::Error`].)
@@ -420,8 +415,9 @@ struct ServiceShared {
 /// docs](self).
 pub struct FlowService {
     shared: Arc<ServiceShared>,
-    base_epoch: u64,
-    updates_submitted: AtomicU64,
+    /// The epoch promised to the latest submitted update (the serving
+    /// epoch before any). Only read and written under the update lock.
+    last_promised: AtomicU64,
     worker_handles: Vec<JoinHandle<()>>,
     updater_handle: Option<JoinHandle<()>>,
 }
@@ -479,8 +475,7 @@ impl FlowService {
 
         FlowService {
             shared,
-            base_epoch,
-            updates_submitted: AtomicU64::new(0),
+            last_promised: AtomicU64::new(base_epoch),
             worker_handles,
             updater_handle: Some(updater_handle),
         }
@@ -577,11 +572,13 @@ impl FlowService {
     ) -> u64 {
         let program = program.into();
         // Allocate the epoch and enqueue under one lock: the updater
-        // assigns epochs in pop order, so the position promised here must
-        // be the position the program actually lands in.
+        // assigns epochs in pop order, each attempt landing on
+        // `max(previous + 1, target)` whether it applies or fails, so the
+        // promise follows the same recurrence over submission order. (A
+        // pin moves every later promise with it.)
         let mut updates = self.shared.updates.lock().expect("service update lock");
-        let epoch = self.base_epoch + self.updates_submitted.fetch_add(1, Ordering::SeqCst) + 1;
-        let epoch = epoch.max(target_epoch.unwrap_or(0));
+        let epoch = (self.last_promised.load(Ordering::SeqCst) + 1).max(target_epoch.unwrap_or(0));
+        self.last_promised.store(epoch, Ordering::SeqCst);
         updates.push_back((program, target_epoch));
         drop(updates);
         self.shared.update_pending.notify_one();
@@ -751,7 +748,6 @@ fn serve(
                 Err(e) => e,
             }
         }
-        QueryRequest::CheckIfc(policy) => QueryResponse::CheckIfc(snapshot.check_ifc(policy)),
         QueryRequest::CheckPolicy(policy) => {
             shared.metrics.ifc_policy_checks.inc();
             match snapshot.check_policy(policy) {

@@ -12,8 +12,8 @@
 
 use flowistry_core::{analyze, AnalysisParams, Condition};
 use flowistry_corpus::{generate_crate, paper_profiles, DEFAULT_SEED};
-use flowistry_engine::{AnalysisEngine, EngineConfig, SchedulerKind};
-use flowistry_ifc::{IfcChecker, IfcPolicy};
+use flowistry_engine::{AnalysisEngine, EngineConfig};
+use flowistry_ifc::{IfcDiagnostic, Policy, PolicyChecker};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::CompiledProgram;
 use std::fmt::Write as _;
@@ -195,10 +195,10 @@ fn disk_cache_survives_engine_restarts() {
 }
 
 #[test]
-fn work_stealing_and_barrier_schedules_agree_on_the_corpus() {
-    // The acceptance bar: the work-stealing scheduler must produce results
-    // bit-identical to both the level-barrier engine and direct analyze()
-    // over the evaluation corpus.
+fn work_stealing_matches_direct_analyze_on_the_corpus() {
+    // The acceptance bar: the work-stealing scheduler at 8 workers must
+    // produce results bit-identical to a sequential run and to direct
+    // analyze() over the evaluation corpus.
     let profile = &paper_profiles()[0];
     let krate = generate_crate(profile, DEFAULT_SEED);
     let program = Arc::new(krate.program.clone());
@@ -207,36 +207,35 @@ fn work_stealing_and_barrier_schedules_agree_on_the_corpus() {
         available_bodies: Some(krate.available_bodies()),
         ..AnalysisParams::default()
     };
-    let mut stealing = AnalysisEngine::new(
-        program.clone(),
-        EngineConfig::default()
-            .with_params(params.clone())
-            .with_scheduler(SchedulerKind::WorkStealing)
-            .with_threads(8),
-    );
-    let mut barrier = AnalysisEngine::new(
-        program.clone(),
-        EngineConfig::default()
-            .with_params(params.clone())
-            .with_scheduler(SchedulerKind::LevelBarrier)
-            .with_threads(8),
-    );
+    let engine_with = |threads| {
+        AnalysisEngine::new(
+            program.clone(),
+            EngineConfig::default()
+                .with_params(params.clone())
+                .with_threads(threads),
+        )
+    };
+    let (mut stealing, mut sequential) = (engine_with(8), engine_with(1));
     let ws_stats = stealing.analyze_all();
-    let lb_stats = barrier.analyze_all();
-    assert_eq!(ws_stats.analyzed, lb_stats.analyzed);
-    assert_eq!(ws_stats.cache_hits, lb_stats.cache_hits);
-    assert_eq!(ws_stats.levels, lb_stats.levels, "critical path == levels");
-    assert_eq!(lb_stats.steals, 0, "the barrier schedule never steals");
+    let seq_stats = sequential.analyze_all();
+    assert_eq!(ws_stats.analyzed, seq_stats.analyzed);
+    assert_eq!(ws_stats.cache_hits, seq_stats.cache_hits);
+    assert_eq!(
+        ws_stats.levels,
+        flowistry_lang::CallGraph::extract(&program)
+            .schedule_levels()
+            .len(),
+        "critical path == levels"
+    );
+    assert_eq!(seq_stats.steals, 0, "a single worker never steals");
     for &func in &krate.crate_funcs {
-        assert_eq!(stealing.summary(func), barrier.summary(func));
-        let direct = analyze(&program, func, &params);
+        assert_eq!(stealing.summary(func), sequential.summary(func));
         assert_eq!(
             *stealing.results(func),
-            direct,
+            analyze(&program, func, &params),
             "work stealing diverged from direct analyze on {}",
             program.body(func).name
         );
-        assert_eq!(*barrier.results(func), direct);
     }
 }
 
@@ -310,11 +309,13 @@ fn batch_queries_share_one_engine() {
     let ret = engine.backward_slice_of_return(compute);
     assert_eq!(ret.criterion, "<return>");
 
-    // IFC query on the same engine instance.
-    let policy = flowistry_ifc::IfcPolicy::from_conventions(&program);
-    let reports = engine.check_ifc(policy);
-    assert_eq!(reports.len(), 1);
-    assert_eq!(reports[0].function, "audit");
+    // IFC query on the same engine's snapshot.
+    let diagnostics = engine
+        .snapshot()
+        .check_policy(Policy::from_conventions(&program))
+        .unwrap();
+    assert_eq!(diagnostics.len(), 1);
+    assert_eq!(diagnostics[0].in_function, "audit");
 
     // Raw location-level slice.
     let body = program.body(compute);
@@ -586,12 +587,28 @@ fn availability_fingerprint_is_stable_under_id_shifts() {
     }
 }
 
+/// Every diagnostic a direct [`PolicyChecker`] run reports over the whole
+/// program, in function order — what `check_policy` must serve.
+fn direct_diagnostics(
+    program: &CompiledProgram,
+    policy: Policy,
+    params: AnalysisParams,
+) -> Vec<IfcDiagnostic> {
+    PolicyChecker::new(program, policy)
+        .unwrap()
+        .with_params(params)
+        .check_program()
+        .into_iter()
+        .flat_map(|r| r.diagnostics)
+        .collect()
+}
+
 #[test]
-fn check_ifc_matches_the_checker_under_restricted_availability() {
-    // `check_ifc` iterates *all* bodies — including functions excluded by
-    // `available_bodies` (their analyses see callees as opaque signatures,
-    // exactly like `IfcChecker::check_program` under the same params).
-    // This pins the two against each other.
+fn check_policy_matches_the_checker_under_restricted_availability() {
+    // `check_policy` iterates *all* bodies — including functions excluded
+    // by `available_bodies` (their analyses see callees as opaque
+    // signatures, exactly like `PolicyChecker::check_program` under the
+    // same params). This pins the two against each other.
     let src = "
         fn read_password() -> i32 { return 1234; }
         fn insecure_print(x: i32) { }
@@ -606,7 +623,7 @@ fn check_ifc_matches_the_checker_under_restricted_availability() {
         }
     ";
     let program = compile(src);
-    let policy = IfcPolicy::from_conventions(&program);
+    let policy = Policy::from_conventions(&program);
     // Restrict availability to `audit` and `relay`: the callee bodies are
     // opaque, but both functions are still checked.
     let params = AnalysisParams {
@@ -625,23 +642,29 @@ fn check_ifc_matches_the_checker_under_restricted_availability() {
         EngineConfig::default().with_params(params.clone()),
     );
     engine.analyze_all();
-    let engine_reports = engine.check_ifc(policy.clone());
-    let direct_reports = IfcChecker::new(&program, policy)
-        .with_params(params)
-        .check_program();
-    assert_eq!(engine_reports, direct_reports);
+    let engine_diagnostics = engine.snapshot().check_policy(policy.clone()).unwrap();
+    assert_eq!(
+        engine_diagnostics,
+        direct_diagnostics(&program, policy, params)
+    );
     // The conventions still catch the password flow into the sink.
-    assert!(engine_reports.iter().any(|r| r.function == "audit"));
+    assert!(engine_diagnostics.iter().any(|d| d.in_function == "audit"));
 }
 
 #[test]
-fn check_ifc_under_full_availability_matches_too() {
+fn check_policy_under_full_availability_matches_too() {
     let profile = &paper_profiles()[0];
     let krate = generate_crate(profile, DEFAULT_SEED);
     let program = Arc::new(krate.program.clone());
-    let policy = IfcPolicy::from_conventions(&program)
-        .with_secure_param("helper_0", "x")
-        .with_sink("helper_1");
+    // Label a parameter helper_0 really has: the checker validates names.
+    let helper = program.body_by_name("helper_0").unwrap();
+    let param = helper
+        .args()
+        .find_map(|a| helper.local_decl(a).name.clone())
+        .expect("helper_0 has a named parameter");
+    let policy = Policy::from_conventions(&program)
+        .with_param_label("helper_0", param, "Secret")
+        .with_sink("helper_1", "Public");
     let params = AnalysisParams {
         condition: Condition::WHOLE_PROGRAM,
         available_bodies: Some(krate.available_bodies()),
@@ -653,10 +676,8 @@ fn check_ifc_under_full_availability_matches_too() {
     );
     engine.analyze_all();
     assert_eq!(
-        engine.check_ifc(policy.clone()),
-        IfcChecker::new(&program, policy)
-            .with_params(params)
-            .check_program()
+        engine.snapshot().check_policy(policy.clone()).unwrap(),
+        direct_diagnostics(&program, policy, params)
     );
 }
 

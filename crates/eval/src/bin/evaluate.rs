@@ -10,10 +10,10 @@
 //! `perf`, `engine`, `service-latency`, `fleet`, `chaos`, `noninterference`,
 //! `ifc`, `lints`, `all` (default). Results are printed
 //! and also written as JSON under `results/`. `ifc` runs the labeled-corpus
-//! differential (policy checker vs interpreter vs legacy checker) and exits
-//! nonzero on any mismatch; `lints` runs every lint pass plus the inferred
-//! effect signatures against the interpreter soundness oracles and exits
-//! nonzero on any under-approximation or false positive.
+//! differential (policy checker vs interpreter) and exits nonzero on any
+//! mismatch; `lints` runs every lint pass plus the inferred effect
+//! signatures against the interpreter soundness oracles and exits nonzero
+//! on any under-approximation or false positive.
 //!
 //! Flags:
 //!
@@ -377,9 +377,9 @@ fn run_ifc(seed: u64, scale: Scale, out_dir: &Path) {
     write_json(out_dir.join("ifc.json"), &report);
     if !report.is_clean() {
         eprintln!(
-            "IFC differential FAILED: {} interference mismatches, {} legacy mismatches",
+            "IFC differential FAILED: {} interference mismatches, {} policy errors",
             report.interference_mismatches.len(),
-            report.legacy_mismatches.len()
+            report.policy_errors.len()
         );
         std::process::exit(1);
     }

@@ -15,19 +15,13 @@
 //!
 //! Policies can be written in the source itself (`#![lattice(multi_level)]`,
 //! `#[label(High)]`, `#[sink(Low)]`, `#[declassify]`; see
-//! [`Policy::from_annotations`]), derived from the legacy naming conventions
+//! [`Policy::from_annotations`]), derived from naming conventions
 //! ([`Policy::from_conventions`]), or built programmatically.
-//!
-//! The legacy [`crate::IfcPolicy`] embeds exactly as the two-point instance
-//! via [`Policy::from_legacy`]; the differential test suite asserts the two
-//! checkers agree bit-for-bit on that embedding.
 
 use flowistry_core::{analyze, AnalysisParams, Dep, DepSet, InfoFlowResults, ThetaExt};
 use flowistry_lang::mir::{Body, Local, Location, TerminatorKind};
 use flowistry_lang::types::FuncId;
 use flowistry_lang::CompiledProgram;
-
-use crate::IfcPolicy;
 
 // ---------------------------------------------------------------------------
 // Labels and lattices
@@ -308,40 +302,49 @@ pub struct Policy {
 }
 
 impl Policy {
-    /// Embeds a legacy two-point [`IfcPolicy`]: secure things become
-    /// `Secret`, sinks get clearance `Public`.
-    pub fn from_legacy(legacy: &IfcPolicy) -> Policy {
-        Policy {
-            lattice: LatticeSpec::TwoPoint,
-            default_label: None,
-            fn_labels: legacy
-                .secure_producers
-                .iter()
-                .map(|f| (f.clone(), "Secret".to_string()))
-                .collect(),
-            param_labels: legacy
-                .secure_params
-                .iter()
-                .map(|(f, p)| (f.clone(), p.clone(), "Secret".to_string()))
-                .collect(),
-            local_labels: legacy
-                .secure_locals
-                .iter()
-                .map(|(f, v)| (f.clone(), v.clone(), "Secret".to_string()))
-                .collect(),
-            sink_clearances: legacy
-                .insecure_sinks
-                .iter()
-                .map(|f| (f.clone(), "Public".to_string()))
-                .collect(),
-            declassify: Vec::new(),
-        }
-    }
-
-    /// Derives the naming-convention policy (the legacy default) as a
-    /// two-point lattice policy.
+    /// Derives a two-point policy from naming conventions, the closest
+    /// analogue of the paper's `Secure`/`Insecure` traits that Rox supports:
+    /// functions whose name starts with `insecure_` are sinks cleared for
+    /// `Public`, and functions or variables whose name is sensitive are
+    /// `Secret`. A name is sensitive if `password` or `secret` is its
+    /// **first or last** `_`-separated segment (or the whole name), or it has
+    /// the `secure_` prefix: `read_password`, `secret_key` and `my_secret`
+    /// match; `secretary`, `passwords` and `not_secret_len` do not. A
+    /// sensitively-named parameter is labeled as a local: parameters are
+    /// named locals.
     pub fn from_conventions(program: &CompiledProgram) -> Policy {
-        Policy::from_legacy(&IfcPolicy::from_conventions(program))
+        fn is_sensitive_name(name: &str) -> bool {
+            ["password", "secret"].iter().any(|seg| {
+                name == *seg
+                    || name.starts_with(&format!("{seg}_"))
+                    || name.ends_with(&format!("_{seg}"))
+            }) || name.starts_with("secure_")
+        }
+        let mut policy = Policy::default();
+        for sig in &program.signatures {
+            if sig.name.starts_with("insecure_") {
+                policy
+                    .sink_clearances
+                    .push((sig.name.clone(), "Public".to_string()));
+            }
+            if is_sensitive_name(&sig.name) {
+                policy
+                    .fn_labels
+                    .push((sig.name.clone(), "Secret".to_string()));
+            }
+        }
+        for body in &program.bodies {
+            for decl in &body.local_decls {
+                if let Some(name) = decl.name.as_ref().filter(|n| is_sensitive_name(n)) {
+                    policy.local_labels.push((
+                        body.name.clone(),
+                        name.clone(),
+                        "Secret".to_string(),
+                    ));
+                }
+            }
+        }
+        policy
     }
 
     /// Reads the policy written in the program's own annotations:
@@ -816,8 +819,7 @@ impl<'a> PolicyChecker<'a> {
             };
             // What flows into the sink: the arguments' dependencies plus
             // the control dependencies of the call site (visible in the
-            // destination's row after the call) — same formula as the
-            // legacy checker, so the two-point instance agrees with it.
+            // destination's row after the call).
             let before = results.state_before(loc);
             let mut incoming = DepSet::new();
             for arg in args {
@@ -897,9 +899,8 @@ fn line_of(body: &Body, source: &str, loc: Location) -> usize {
     span.line_of(source)
 }
 
-/// Validates every name a policy mentions, shared by [`PolicyChecker::new`]
-/// and the legacy checker's strict entry points.
-pub(crate) fn validate_policy(
+/// Validates every name a policy mentions (for [`PolicyChecker::new`]).
+fn validate_policy(
     program: &CompiledProgram,
     policy: &Policy,
     lattice: &SecurityLattice,
@@ -1326,35 +1327,171 @@ mod tests {
         assert!(PolicyChecker::new(&prog, policy).is_ok());
     }
 
-    // ---------------- legacy embedding ----------------
+    // ---------------- naming conventions ----------------
+
+    const PASSWORD_PROGRAM: &str = "
+        fn read_password() -> i32 { return 1234; }
+        fn insecure_print(x: i32) { }
+        fn check(input: i32) -> bool {
+            let password = read_password();
+            if input == password { insecure_print(1); return true; }
+            return false;
+        }
+        fn safe(input: i32) {
+            insecure_print(input);
+        }
+    ";
+
+    fn conventions_checker(prog: &CompiledProgram) -> PolicyChecker<'_> {
+        PolicyChecker::new(prog, Policy::from_conventions(prog)).unwrap()
+    }
 
     #[test]
-    fn legacy_embedding_matches_legacy_checker() {
+    fn conventions_flag_the_implicit_flow_through_a_branch() {
+        let prog = flowistry_lang::compile(PASSWORD_PROGRAM).unwrap();
+        let policy = Policy::from_conventions(&prog);
+        assert_eq!(policy.lattice, LatticeSpec::TwoPoint);
+        assert_eq!(
+            policy.sink_clearances,
+            vec![("insecure_print".to_string(), "Public".to_string())]
+        );
+        assert_eq!(
+            policy.fn_labels,
+            vec![("read_password".to_string(), "Secret".to_string())]
+        );
+        assert!(policy.local_labels.contains(&(
+            "check".into(),
+            "password".into(),
+            "Secret".into()
+        )));
+
+        let checker = conventions_checker(&prog);
+        let whole_program = conventions_checker(&prog).with_params(AnalysisParams::for_condition(
+            flowistry_core::Condition::WHOLE_PROGRAM,
+        ));
+        for checker in [&checker, &whole_program] {
+            let report = checker.check_function("check").unwrap();
+            assert_eq!(report.sink_calls_checked, 1);
+            assert_eq!(report.diagnostics.len(), 1, "{:?}", report.diagnostics);
+            let d = &report.diagnostics[0];
+            assert_eq!(d.sink, "insecure_print");
+            assert_eq!(
+                d.sources,
+                vec![
+                    "call to `read_password`".to_string(),
+                    "variable `password`".to_string()
+                ]
+            );
+            assert!(d.to_string().contains("insecure_print"));
+        }
+
+        // Public data into the same sink is not flagged.
+        let report = checker.check_function("safe").unwrap();
+        assert!(report.is_clean(), "{:?}", report.diagnostics);
+        assert_eq!(report.sink_calls_checked, 1);
+
+        let reports = checker.check_program();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].function, "check");
+        assert!(checker.check_function("ghost").is_none());
+    }
+
+    #[test]
+    fn flows_laundered_through_mutation_are_caught() {
         let src = "
-            fn read_password() -> i32 { return 1234; }
-            fn insecure_print(x: i32) { }
-            fn check(input: i32) -> bool {
-                let password = read_password();
-                if input == password { insecure_print(1); return true; }
-                return false;
+            fn insecure_send(x: i32) { }
+            fn get_secret() -> i32 { return 99; }
+            fn launder() {
+                let secret_value = get_secret();
+                let mut copy = 0;
+                let p = &mut copy;
+                *p = secret_value;
+                insecure_send(copy);
             }
         ";
         let prog = flowistry_lang::compile(src).unwrap();
-        let legacy_policy = IfcPolicy::from_conventions(&prog);
-        let legacy = crate::IfcChecker::new(&prog, legacy_policy.clone());
-        let modern = PolicyChecker::new(&prog, Policy::from_legacy(&legacy_policy)).unwrap();
-        for sig in &prog.signatures {
-            let old = legacy.check_function(&sig.name).unwrap();
-            let new = modern.check_function(&sig.name).unwrap();
-            assert_eq!(old.sink_calls_checked, new.sink_calls_checked);
-            assert_eq!(old.violations.len(), new.diagnostics.len());
-            for (v, d) in old.violations.iter().zip(&new.diagnostics) {
-                assert_eq!(v.in_function, d.in_function);
-                assert_eq!(v.sink, d.sink);
-                assert_eq!(v.location, d.location);
-                assert_eq!(v.line, d.line);
-                assert_eq!(v.sources, d.sources);
-            }
+        let policy = Policy::default()
+            .with_sink("insecure_send", "Public")
+            .with_fn_label("get_secret", "Secret");
+        let checker = PolicyChecker::new(&prog, policy).unwrap();
+        let report = checker.check_function("launder").unwrap();
+        assert!(!report.is_clean());
+        assert_eq!(
+            report.diagnostics[0].sources,
+            vec!["call to `get_secret`".to_string()]
+        );
+    }
+
+    #[test]
+    fn secure_parameter_flags_only_the_flow_it_reaches() {
+        // (sink argument, flagged?): the secure `token` reaches the sink
+        // explicitly; the unrelated `other` does not carry it.
+        for (arg, flagged) in [("token + 1", true), ("other", false)] {
+            let src = format!(
+                "fn insecure_send(x: i32) {{ }}
+                 fn handler(token: i32, other: i32) {{ insecure_send({arg}); }}"
+            );
+            let prog = flowistry_lang::compile(&src).unwrap();
+            let policy = Policy::default()
+                .with_sink("insecure_send", "Public")
+                .with_param_label("handler", "token", "Secret");
+            let checker = PolicyChecker::new(&prog, policy).unwrap();
+            let report = checker.check_function("handler").unwrap();
+            assert_eq!(
+                !report.is_clean(),
+                flagged,
+                "{arg}: {:?}",
+                report.diagnostics
+            );
         }
+    }
+
+    #[test]
+    fn conventions_match_name_segments() {
+        let sensitive = [
+            "password",
+            "secret",
+            "read_password",
+            "secret_key",
+            "my_secret",
+            "secure_token",
+            "password_hash",
+        ];
+        let public = [
+            "secretary",
+            "not_secret_len",
+            "passwords",
+            "top_secretive",
+            "unsecure_x",
+        ];
+        let src: String = sensitive
+            .iter()
+            .chain(&public)
+            .map(|name| format!("fn {name}() -> i32 {{ return 1; }}\n"))
+            .collect();
+        let prog = flowistry_lang::compile(&src).unwrap();
+        let policy = Policy::from_conventions(&prog);
+        let labeled: Vec<&str> = policy.fn_labels.iter().map(|(f, _)| f.as_str()).collect();
+        assert_eq!(labeled, sensitive);
+        assert!(policy.fn_labels.iter().all(|(_, l)| l == "Secret"));
+        assert!(policy.sink_clearances.is_empty());
+    }
+
+    #[test]
+    fn conventions_do_not_flag_lookalike_names() {
+        let src = "
+            fn secretary() -> i32 { return 1; }
+            fn insecure_print(x: i32) { }
+            fn office() {
+                let not_secret_len = secretary();
+                insecure_print(not_secret_len);
+            }
+        ";
+        let prog = flowistry_lang::compile(src).unwrap();
+        let policy = Policy::from_conventions(&prog);
+        assert!(policy.fn_labels.is_empty(), "{policy:?}");
+        assert!(policy.local_labels.is_empty(), "{policy:?}");
+        let reports = PolicyChecker::new(&prog, policy).unwrap().check_program();
+        assert!(reports.is_empty(), "{reports:?}");
     }
 }

@@ -298,11 +298,15 @@ impl RouterShared {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    fn error_envelope(&self, msg: String) -> String {
+    /// An `error` response line. `trace_id` is the id of the request it
+    /// answers: `None` only for lines that never decoded into a request
+    /// (line budget, rate limit, auth and parse failures) and for updates,
+    /// which carry none.
+    fn error_envelope(&self, msg: String, trace_id: Option<String>) -> String {
         codec::encode_envelope(&QueryEnvelope {
             epoch: self.current_epoch(),
             response: QueryResponse::Error(msg),
-            trace_id: None,
+            trace_id,
         })
     }
 
@@ -398,7 +402,7 @@ impl RouterShared {
                 .iter()
                 .find_map(|r| r.as_ref().err().map(|e| e.to_string()))
                 .unwrap_or_else(|| "no backends".to_string());
-            return self.error_envelope(format!("update failed on all backends: {msg}"));
+            return self.error_envelope(format!("update failed on all backends: {msg}"), None);
         }
         // At least one replica now serves the new epoch, so the update is
         // real: compact the history to it (respawns and stragglers catch
@@ -430,11 +434,14 @@ impl RouterShared {
             codec::encode_update_ack(expected_epoch)
         } else {
             self.metrics.update_quorum_failures.inc();
-            self.error_envelope(format!(
-                "update applied on {applied}/{} backends (quorum {quorum}); \
-                 epoch {expected_epoch} will converge as replicas respawn",
-                self.backends.len()
-            ))
+            self.error_envelope(
+                format!(
+                    "update applied on {applied}/{} backends (quorum {quorum}); \
+                     epoch {expected_epoch} will converge as replicas respawn",
+                    self.backends.len()
+                ),
+                None,
+            )
         }
     }
 }
@@ -749,6 +756,8 @@ enum Pending {
         /// instead of a late answer it no longer wants.
         deadline: Option<Instant>,
         kind: usize,
+        /// The request's trace id, echoed on errors the router makes for it.
+        trace_id: Option<String>,
     },
 }
 
@@ -803,8 +812,10 @@ fn reader_loop(
             Ok(BoundedLine::Line(_)) => {}
             Ok(BoundedLine::TooLong(_)) => {
                 shared.metrics.oversize_lines.inc();
-                let reply = shared
-                    .error_envelope(format!("request line exceeds the {max_line}-byte budget"));
+                let reply = shared.error_envelope(
+                    format!("request line exceeds the {max_line}-byte budget"),
+                    None,
+                );
                 if tx.send(Pending::Line(reply)).is_err() {
                     return false;
                 }
@@ -816,10 +827,13 @@ fn reader_loop(
         }
         if !limiter.allow() {
             shared.metrics.rate_limited.inc();
-            let reply = shared.error_envelope(format!(
-                "rate limit exceeded ({} requests/s)",
-                shared.config.rate_limit
-            ));
+            let reply = shared.error_envelope(
+                format!(
+                    "rate limit exceeded ({} requests/s)",
+                    shared.config.rate_limit
+                ),
+                None,
+            );
             if tx.send(Pending::Line(reply)).is_err() {
                 return false;
             }
@@ -829,8 +843,10 @@ fn reader_loop(
         let command = codec::decode_command(&line);
         if !authed && !matches!(command, Ok(Command::Auth { .. })) {
             shared.metrics.auth_failures.inc();
-            let reply = shared
-                .error_envelope("authentication required: send `auth <token>` first".to_string());
+            let reply = shared.error_envelope(
+                "authentication required: send `auth <token>` first".to_string(),
+                None,
+            );
             if tx.send(Pending::Line(reply)).is_err() {
                 return false;
             }
@@ -839,7 +855,7 @@ fn reader_loop(
         let pending = match command {
             Err(msg) => {
                 shared.metrics.decode_errors.inc();
-                Pending::Line(shared.error_envelope(format!("malformed request: {msg}")))
+                Pending::Line(shared.error_envelope(format!("malformed request: {msg}"), None))
             }
             Ok(Command::Auth { token }) => {
                 shared.metrics.requests.inc();
@@ -852,7 +868,7 @@ fn reader_loop(
                     Pending::Line(codec::AUTHED_LINE.to_string())
                 } else {
                     shared.metrics.auth_failures.inc();
-                    Pending::Line(shared.error_envelope("bad auth token".to_string()))
+                    Pending::Line(shared.error_envelope("bad auth token".to_string(), None))
                 }
             }
             Ok(Command::Query {
@@ -890,13 +906,15 @@ fn reader_loop(
                                 deadline: deadline_ms
                                     .map(|ms| decoded_at + Duration::from_millis(ms)),
                                 kind,
+                                trace_id,
                             }
                         }
                         None => {
                             shared.metrics.lost_requests.inc();
-                            Pending::Line(
-                                shared.error_envelope("router: no backend available".to_string()),
-                            )
+                            Pending::Line(shared.error_envelope(
+                                "router: no backend available".to_string(),
+                                trace_id,
+                            ))
                         }
                     }
                 }
@@ -929,23 +947,24 @@ fn read_and_broadcast_update(
     let max_update_bytes = shared.config.effective_max_update_bytes();
     if bytes > max_update_bytes {
         if io::copy(&mut reader.by_ref().take(bytes as u64), &mut io::sink()).is_err() {
-            return shared.error_envelope("update source truncated".to_string());
+            return shared.error_envelope("update source truncated".to_string(), None);
         }
         let _ = consume_newline(reader);
-        return shared.error_envelope(format!(
-            "update of {bytes} bytes exceeds {max_update_bytes}"
-        ));
+        return shared.error_envelope(
+            format!("update of {bytes} bytes exceeds {max_update_bytes}"),
+            None,
+        );
     }
     let mut source = vec![0u8; bytes];
     if reader.read_exact(&mut source).is_err() {
-        return shared.error_envelope("update source truncated".to_string());
+        return shared.error_envelope("update source truncated".to_string(), None);
     }
     if let Err(msg) = consume_newline(reader) {
-        return shared.error_envelope(msg);
+        return shared.error_envelope(msg, None);
     }
     let source = match String::from_utf8(source) {
         Ok(s) => s,
-        Err(_) => return shared.error_envelope("update source is not UTF-8".to_string()),
+        Err(_) => return shared.error_envelope("update source is not UTF-8".to_string(), None),
     };
     shared.broadcast_update(source)
 }
@@ -983,6 +1002,7 @@ fn writer_loop(shared: &Arc<RouterShared>, stream: TcpStream, rx: Receiver<Pendi
                 decoded_at,
                 deadline,
                 kind,
+                trace_id,
             } => {
                 let max_attempts = shared.config.effective_retry_attempts();
                 let breaker_threshold = shared.config.effective_breaker_threshold();
@@ -1008,7 +1028,7 @@ fn writer_loop(shared: &Arc<RouterShared>, stream: TcpStream, rx: Receiver<Pendi
                             // response on the pooled connection is
                             // discarded by its (dropped) receiver.
                             shared.metrics.deadline_exceeded.inc();
-                            break shared.error_envelope("deadline exceeded".to_string());
+                            break shared.error_envelope("deadline exceeded".to_string(), trace_id);
                         }
                         Err(false) => {
                             // The backend died with this request in
@@ -1019,13 +1039,15 @@ fn writer_loop(shared: &Arc<RouterShared>, stream: TcpStream, rx: Receiver<Pendi
                             current.record_send_failure(breaker_threshold);
                             if deadline.is_some_and(|d| Instant::now() >= d) {
                                 shared.metrics.deadline_exceeded.inc();
-                                break shared.error_envelope("deadline exceeded".to_string());
+                                break shared
+                                    .error_envelope("deadline exceeded".to_string(), trace_id);
                             }
                             if attempts >= max_attempts {
                                 shared.metrics.lost_requests.inc();
-                                break shared.error_envelope(format!(
-                                    "router: request lost after {attempts} attempts"
-                                ));
+                                break shared.error_envelope(
+                                    format!("router: request lost after {attempts} attempts"),
+                                    trace_id,
+                                );
                             }
                             attempts += 1;
                             match shared.send_via_chain(&chain, position + 1, &line) {
@@ -1038,6 +1060,7 @@ fn writer_loop(shared: &Arc<RouterShared>, stream: TcpStream, rx: Receiver<Pendi
                                     shared.metrics.lost_requests.inc();
                                     break shared.error_envelope(
                                         "router: no backend available".to_string(),
+                                        trace_id,
                                     );
                                 }
                             }

@@ -195,32 +195,37 @@ fn deadline_budget_bounds_the_wait_and_sheds_structured_errors() {
     let (router, registry) = fleet(1, RouterConfig::default());
     let mut client = FlowClient::connect(router.local_addr()).expect("connect");
 
-    flowistry_fault::configure(&format!("{}=delay(200):1.0", sites::SCHEDULER_JOB_START)).unwrap();
-    let started = Instant::now();
-    client
-        .submit_with(&QueryRequest::Stats, None, Some(20))
-        .expect("submit");
-    let envelope = client.recv().expect("recv");
-    let waited = started.elapsed();
-    flowistry_fault::clear();
+    // Untraced and traced: a router-made error echoes the request's id.
+    for trace_id in [None, Some("deadline-tid")] {
+        flowistry_fault::configure(&format!("{}=delay(200):1.0", sites::SCHEDULER_JOB_START))
+            .unwrap();
+        let started = Instant::now();
+        client
+            .submit_with(&QueryRequest::Stats, trace_id, Some(20))
+            .expect("submit");
+        let envelope = client.recv().expect("recv");
+        let waited = started.elapsed();
+        flowistry_fault::clear();
 
-    match &envelope.response {
-        QueryResponse::Error(msg) => {
-            assert!(
-                msg.contains("deadline exceeded"),
-                "unexpected error {msg:?}"
-            )
+        match &envelope.response {
+            QueryResponse::Error(msg) => {
+                assert!(
+                    msg.contains("deadline exceeded"),
+                    "unexpected error {msg:?}"
+                )
+            }
+            other => panic!("expected a deadline error, got {other:?}"),
         }
-        other => panic!("expected a deadline error, got {other:?}"),
-    }
-    assert!(
-        waited < Duration::from_millis(150),
-        "the 20ms budget leaked into a {waited:?} wait"
-    );
-    assert!(gauge(&registry, "flow_deadline_exceeded_total") >= 1.0);
+        assert_eq!(envelope.trace_id.as_deref(), trace_id);
+        assert!(
+            waited < Duration::from_millis(150),
+            "the 20ms budget leaked into a {waited:?} wait"
+        );
+        assert!(gauge(&registry, "flow_deadline_exceeded_total") >= 1.0);
 
-    // The delayed response drains harmlessly; the connection still works.
-    std::thread::sleep(Duration::from_millis(250));
-    let envelope = client.query(&QueryRequest::Stats).expect("after");
-    assert!(!matches!(envelope.response, QueryResponse::Error(_)));
+        // The delayed response drains harmlessly; the connection still works.
+        std::thread::sleep(Duration::from_millis(250));
+        let envelope = client.query(&QueryRequest::Stats).expect("after");
+        assert!(!matches!(envelope.response, QueryResponse::Error(_)));
+    }
 }

@@ -72,15 +72,15 @@ fn main() {
     }
 
     // Query 2: IFC over the whole program, same snapshot.
-    let policy = IfcPolicy::from_conventions(&program)
-        .with_sink("insecure_log")
-        .with_secure_producer("read_secret");
-    let reports = snapshot.check_ifc(policy.clone());
+    let policy = Policy::from_conventions(&program)
+        .with_sink("insecure_log", "Public")
+        .with_fn_label("read_secret", "Secret");
+    let diagnostics = snapshot
+        .check_policy(policy)
+        .expect("the policy names only functions of the program");
     println!("\nIFC violations:");
-    for report in &reports {
-        for violation in &report.violations {
-            println!("  {violation}");
-        }
+    for diagnostic in &diagnostics {
+        println!("  {diagnostic}");
     }
 
     // Put the service front on: queries go through a typed protocol and a

@@ -13,8 +13,8 @@
 //!   surface, and the async `FlowService` query front);
 //! * [`slicer`] — the program slicer application (Figure 5a);
 //! * [`ifc`] — information flow control (Figure 5b): the lattice policy
-//!   engine with declassification and flow witnesses, plus the legacy
-//!   convention checker;
+//!   engine with declassification and flow witnesses, and the naming
+//!   conventions as one policy source;
 //! * [`lint`] — effect inference (`#[effect(...)]` contracts checked
 //!   against inferred read/write/sink signatures) and the flow-aware lint
 //!   passes built on the modular summaries;
@@ -60,9 +60,7 @@ pub mod prelude {
         AnalysisEngine, AnalysisSnapshot, EngineConfig, FlowService, QueryRequest, QueryResponse,
         ServiceConfig,
     };
-    pub use flowistry_ifc::{
-        IfcChecker, IfcDiagnostic, IfcPolicy, LatticeSpec, Policy, PolicyChecker, SecurityLattice,
-    };
+    pub use flowistry_ifc::{IfcDiagnostic, LatticeSpec, Policy, PolicyChecker, SecurityLattice};
     pub use flowistry_interp::{Interpreter, Value};
     pub use flowistry_lang::{compile, compile_strict, CompiledProgram};
     pub use flowistry_lint::{EffectSignature, LintFinding, LintPass, Linter};
